@@ -82,9 +82,11 @@ impl Segment {
 /// A complete schedule for an instance: a collection of constant-speed
 /// [`Segment`]s over `machines` machines.
 ///
-/// The segment list is not required to be sorted; accessors sort on demand.
-/// A job is *finished* by the schedule if the total work of its segments
-/// (restricted to its availability window — enforced by
+/// The segment list is not required to be sorted; accessors sort on demand:
+/// [`machine_segments`](Self::machine_segments) for one machine, and
+/// [`segments_by_job`](Self::segments_by_job) for every job at once in one
+/// grouping pass.  A job is *finished* by the schedule if the total work of
+/// its segments (restricted to its availability window — enforced by
 /// [`validate_schedule`](crate::validate::validate_schedule)) reaches its
 /// workload.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -190,6 +192,37 @@ impl Schedule {
         segs
     }
 
+    /// The work segments of every job of an instance with `n` jobs, each
+    /// job's sorted by start time, in one pass over the schedule.
+    ///
+    /// Idle segments and segments of ids `>= n` are left out.  Segments
+    /// with equal start times keep their schedule order.  Costs
+    /// O(S + n) to group (a counting sort on the job id) plus a stable
+    /// sort of each job's segments; the groups borrow the segments.
+    pub fn segments_by_job(&self, n: usize) -> SegmentsByJob<'_> {
+        let job_of = |seg: &Segment| seg.job.map(JobId::index).filter(|&j| j < n);
+        let mut offsets = vec![0usize; n + 1];
+        for j in self.segments.iter().filter_map(job_of) {
+            offsets[j + 1] += 1;
+        }
+        for j in 0..n {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut next = offsets.clone();
+        let mut order = vec![0usize; offsets[n]];
+        for (i, seg) in self.segments.iter().enumerate() {
+            if let Some(j) = job_of(seg) {
+                order[next[j]] = i;
+                next[j] += 1;
+            }
+        }
+        let mut segments: Vec<&Segment> = order.iter().map(|&i| &self.segments[i]).collect();
+        for j in 0..n {
+            segments[offsets[j]..offsets[j + 1]].sort_by(|a, b| a.start.total_cmp(&b.start));
+        }
+        SegmentsByJob { offsets, segments }
+    }
+
     /// The speed of the given machine at time `t` (0 if idle).
     pub fn speed_at(&self, machine: usize, t: f64) -> f64 {
         self.segments
@@ -240,6 +273,32 @@ impl Schedule {
                 (t, self.total_speed_at(t))
             })
             .collect()
+    }
+}
+
+/// A schedule's work segments grouped by job, built by
+/// [`Schedule::segments_by_job`].
+#[derive(Debug, Clone)]
+pub struct SegmentsByJob<'a> {
+    /// Job `j`'s segments are `segments[offsets[j]..offsets[j + 1]]`.
+    offsets: Vec<usize>,
+    segments: Vec<&'a Segment>,
+}
+
+impl<'a> SegmentsByJob<'a> {
+    /// Number of jobs (groups), including jobs without segments.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Returns `true` if there are no jobs.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Job `j`'s segments, sorted by start time.  Panics if `j >= len()`.
+    pub fn job(&self, j: usize) -> &[&'a Segment] {
+        &self.segments[self.offsets[j]..self.offsets[j + 1]]
     }
 }
 
@@ -316,6 +375,42 @@ mod tests {
         assert!((profile[0].1 - 1.5).abs() < 1e-12);
         assert!((profile[1].1 - 2.0).abs() < 1e-12);
         assert!((profile[2].1 - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn segments_by_job_groups_and_sorts_stably() {
+        let mut s = Schedule::empty(2);
+        s.push(Segment::work(1, 3.0, 4.0, 1.0, JobId(1)));
+        s.push(Segment::idle(0, 0.0, 1.0));
+        s.push(Segment::work(0, 2.0, 3.0, 1.0, JobId(0)));
+        s.push(Segment::work(0, 1.0, 2.0, 2.0, JobId(1)));
+        s.push(Segment::work(1, 0.0, 1.0, 1.0, JobId(7)));
+        // Equal start times: the machine-1 piece comes first in the
+        // schedule and must stay first.
+        s.push(Segment::work(1, 5.0, 6.0, 1.0, JobId(0)));
+        s.push(Segment::work(0, 5.0, 6.0, 3.0, JobId(0)));
+
+        let by_job = s.segments_by_job(3);
+        assert_eq!(by_job.len(), 3);
+        let job0: Vec<Segment> = by_job.job(0).iter().map(|s| **s).collect();
+        assert_eq!(
+            job0,
+            vec![
+                Segment::work(0, 2.0, 3.0, 1.0, JobId(0)),
+                Segment::work(1, 5.0, 6.0, 1.0, JobId(0)),
+                Segment::work(0, 5.0, 6.0, 3.0, JobId(0)),
+            ]
+        );
+        let starts1: Vec<f64> = by_job.job(1).iter().map(|s| s.start).collect();
+        assert_eq!(starts1, vec![1.0, 3.0]);
+        // Idle time and the out-of-range id 7 belong to no group.
+        assert!(by_job.job(2).is_empty());
+
+        let none = Schedule::empty(2);
+        let empty = none.segments_by_job(4);
+        assert_eq!(empty.len(), 4);
+        assert!((0..4).all(|j| empty.job(j).is_empty()));
+        assert!(Schedule::empty(1).segments_by_job(0).is_empty());
     }
 
     #[test]

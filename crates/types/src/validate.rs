@@ -12,12 +12,20 @@
 //! the segments, and reports which jobs are finished.  It is used by the
 //! integration tests and by the simulator to certify every schedule the
 //! algorithms produce.
+//!
+//! Constraints 1 and 2 are checked by a sweep over each machine's and each
+//! job's segments in start order.  Each segment is compared with the
+//! segment that ends latest among those before it, so a segment shorter
+//! than the overlap tolerance cannot hide an overlap between its
+//! neighbours.  Each job's segments come from one grouping pass
+//! ([`Schedule::segments_by_job`]), so validating a schedule of `S`
+//! segments for `n` jobs on `m` machines costs O(S log S + n + m·S).
 
 use crate::error::ScheduleError;
 use crate::instance::Instance;
 use crate::job::JobId;
 use crate::num;
-use crate::segment::Schedule;
+use crate::segment::{Schedule, Segment};
 
 /// Result of validating a schedule against an instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,40 +106,28 @@ pub fn validate_schedule(
     // -- Constraint 1: one job per machine at a time ----------------------
     for machine in 0..m {
         let segs = schedule.machine_segments(machine);
-        for pair in segs.windows(2) {
-            if pair[0].overlaps(&pair[1]) {
-                return Err(ScheduleError::BadSegment(format!(
-                    "machine {machine} runs two overlapping segments: {:?} and {:?}",
-                    pair[0], pair[1]
-                )));
-            }
+        if let Some((a, b)) = first_overlap(&segs) {
+            return Err(ScheduleError::BadSegment(format!(
+                "machine {machine} runs two overlapping segments: {a:?} and {b:?}"
+            )));
         }
     }
 
     // -- Constraint 2: one machine per job at a time ----------------------
+    let by_job = schedule.segments_by_job(n);
     for j in 0..n {
-        let mut segs: Vec<_> = schedule
-            .segments
-            .iter()
-            .filter(|s| s.job == Some(JobId(j)))
-            .collect();
-        segs.sort_by(|a, b| a.start.total_cmp(&b.start));
-        for pair in segs.windows(2) {
-            if pair[0].overlaps(pair[1]) && pair[0].machine != pair[1].machine {
-                return Err(ScheduleError::BadSegment(format!(
-                    "job j{j} runs on machines {} and {} simultaneously",
-                    pair[0].machine, pair[1].machine
-                )));
-            }
+        if let Some((a, b)) = first_overlap(by_job.job(j).iter().copied()) {
             // Same machine overlaps were already rejected by constraint 1,
             // but duplicated segments on the same machine for the same job
             // would double count work, so reject them here too.
-            if pair[0].overlaps(pair[1]) && pair[0].machine == pair[1].machine {
-                return Err(ScheduleError::BadSegment(format!(
-                    "job j{j} has overlapping segments on machine {}",
-                    pair[0].machine
-                )));
-            }
+            return Err(ScheduleError::BadSegment(if a.machine != b.machine {
+                format!(
+                    "job j{j} runs on machines {} and {} simultaneously",
+                    a.machine, b.machine
+                )
+            } else {
+                format!("job j{j} has overlapping segments on machine {}", a.machine)
+            }));
         }
     }
 
@@ -156,10 +152,28 @@ pub fn validate_schedule(
     })
 }
 
+/// The first overlapping pair in `segs`, which must be sorted by start
+/// time.  Each segment is compared with the segment that ends latest among
+/// those before it, not just with its predecessor: a predecessor shorter
+/// than the overlap tolerance would otherwise hide an overlap between the
+/// segments on either side of it.
+fn first_overlap<'s>(
+    segs: impl IntoIterator<Item = &'s Segment>,
+) -> Option<(&'s Segment, &'s Segment)> {
+    let mut reach: Option<&Segment> = None;
+    for seg in segs {
+        match reach {
+            Some(r) if r.overlaps(seg) => return Some((r, seg)),
+            Some(r) if r.end >= seg.end => {}
+            _ => reach = Some(seg),
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::Segment;
 
     fn inst() -> Instance {
         Instance::from_tuples(2, 2.0, vec![(0.0, 2.0, 2.0, 4.0), (1.0, 3.0, 1.0, 1.0)]).unwrap()
@@ -214,6 +228,42 @@ mod tests {
         s.push(Segment::work(0, 0.0, 1.5, 1.0, JobId(0)));
         s.push(Segment::work(1, 1.0, 2.0, 1.0, JobId(0)));
         assert!(validate_schedule(&inst, &s).is_err());
+    }
+
+    fn wide(machines: usize) -> Instance {
+        Instance::from_tuples(machines, 2.0, vec![(0.0, 20.0, 1.0, 1.0); 3]).unwrap()
+    }
+
+    #[test]
+    fn sub_tolerance_segment_does_not_hide_machine_overlap() {
+        let inst = wide(1);
+        let mut s = Schedule::empty(1);
+        s.segments.push(Segment::work(0, 0.0, 10.0, 1.0, JobId(0)));
+        s.segments
+            .push(Segment::work(0, 1.0, 1.0 + 1e-10, 1.0, JobId(1)));
+        s.segments.push(Segment::work(0, 2.0, 3.0, 1.0, JobId(2)));
+        let err = validate_schedule(&inst, &s).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("machine 0 runs two overlapping segments"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn sub_tolerance_segment_does_not_hide_parallel_execution() {
+        let inst = wide(2);
+        let mut s = Schedule::empty(2);
+        s.segments.push(Segment::work(0, 0.0, 10.0, 1.0, JobId(0)));
+        s.segments
+            .push(Segment::work(1, 1.0, 1.0 + 1e-10, 1.0, JobId(0)));
+        s.segments.push(Segment::work(1, 2.0, 7.0, 1.0, JobId(0)));
+        let err = validate_schedule(&inst, &s).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("job j0 runs on machines 0 and 1 simultaneously"),
+            "{err}"
+        );
     }
 
     #[test]
