@@ -346,7 +346,7 @@ impl MultiOaWarm {
                 continue;
             };
             let mut total = 0.0;
-            for &k in ctx.covered(i) {
+            for k in ctx.covered(i) {
                 let iv = partition.interval(k);
                 let mut frac = 0.0;
                 for &(ps, pe, f) in pieces {
@@ -364,7 +364,7 @@ impl MultiOaWarm {
                 // Renormalise: the seed should fully assign the job's
                 // *remaining* work (the executed prefix fell before `now`).
                 let scale = 1.0 / total;
-                for &k in ctx.covered(i) {
+                for k in ctx.covered(i) {
                     let f = seed.get(i, k);
                     if f > 0.0 {
                         seed.set(i, k, f * scale);
@@ -382,7 +382,7 @@ impl MultiOaWarm {
         let partition = ctx.partition();
         for (i, p) in pending.iter().enumerate() {
             let mut pieces = Vec::new();
-            for &k in ctx.covered(i) {
+            for k in ctx.covered(i) {
                 let f = x.get(i, k);
                 if f > 0.0 {
                     let iv = partition.interval(k);

@@ -86,7 +86,7 @@ pub fn dual_bound(ctx: &ProgramContext, lambda: &[f64]) -> DualSolution {
     let mut scheduled_time = vec![0.0_f64; n];
     for iv in ctx.partition().intervals() {
         let mut available: Vec<usize> = (0..n)
-            .filter(|&j| ctx.covered(j).binary_search(&iv.index).is_ok() && hat_speed[j] > 0.0)
+            .filter(|&j| ctx.covered(j).contains(&iv.index) && hat_speed[j] > 0.0)
             .collect();
         available.sort_by(|&a, &b| hat_speed[b].total_cmp(&hat_speed[a]).then(a.cmp(&b)));
         for &j in available.iter().take(m) {

@@ -37,8 +37,7 @@ pub fn max_stationarity_violation(ctx: &ProgramContext, x: &WorkAssignment) -> K
             continue;
         }
         let marginals: Vec<(usize, f64, f64)> = covered
-            .iter()
-            .map(|&k| {
+            .map(|k| {
                 let d = interval_power_derivative(
                     ctx.power(),
                     ctx.partition().length(k),

@@ -40,6 +40,4 @@ pub use solver::{
     solve_min_energy, solve_min_energy_warm, solve_min_energy_with, MinEnergySolution,
     SolverOptions,
 };
-pub use waterfill::{
-    waterfill_candidates, waterfill_job, WaterfillCandidate, WaterfillOptions, WaterfillResult,
-};
+pub use waterfill::{waterfill_job, FillLevel, FillProfile, WaterfillOptions, WaterfillResult};

@@ -1,6 +1,8 @@
 //! The convex program context: an instance bound to its atomic-interval
 //! partition.
 
+use std::ops::Range;
+
 use pss_chen::ChenInterval;
 use pss_intervals::{IntervalPartition, WorkAssignment};
 use pss_power::AlphaPower;
@@ -8,7 +10,7 @@ use pss_types::{num, Instance, JobId, Schedule};
 
 /// An [`Instance`] together with the derived objects every algorithm in the
 /// workspace needs: the atomic-interval partition, the workload vector, the
-/// power function and, per job, the list of covered intervals.
+/// power function and, per job, the (contiguous) range of covered intervals.
 ///
 /// The context corresponds to the data defining the mathematical program
 /// (IMP)/(CP) of Figure 1 in the paper: the partition gives the intervals
@@ -22,7 +24,7 @@ pub struct ProgramContext {
     power: AlphaPower,
     workloads: Vec<f64>,
     values: Vec<f64>,
-    covered: Vec<Vec<usize>>,
+    covered: Vec<Range<usize>>,
 }
 
 impl ProgramContext {
@@ -41,10 +43,10 @@ impl ProgramContext {
         let power = AlphaPower::new(instance.alpha);
         let workloads: Vec<f64> = instance.jobs.iter().map(|j| j.work).collect();
         let values: Vec<f64> = instance.jobs.iter().map(|j| j.value).collect();
-        let covered: Vec<Vec<usize>> = instance
+        let covered: Vec<Range<usize>> = instance
             .jobs
             .iter()
-            .map(|j| partition.covered_intervals(j))
+            .map(|j| partition.covered_range(j))
             .collect();
         Self {
             instance: instance.clone(),
@@ -91,9 +93,10 @@ impl ProgramContext {
         self.instance.machines
     }
 
-    /// The atomic intervals covered by job `j` (the `k` with `c_{jk} = 1`).
-    pub fn covered(&self, job: usize) -> &[usize] {
-        &self.covered[job]
+    /// The atomic intervals covered by job `j` (the `k` with `c_{jk} = 1`),
+    /// a contiguous index range.
+    pub fn covered(&self, job: usize) -> Range<usize> {
+        self.covered[job].clone()
     }
 
     /// The work `x_{jk}·w_j` of every job in interval `k` under the given
@@ -102,20 +105,6 @@ impl ProgramContext {
         (0..self.n_jobs())
             .map(|j| x.get(j, interval) * self.workloads[j])
             .collect()
-    }
-
-    /// The work of every job in interval `k`, excluding job `exclude`.
-    pub fn interval_works_excluding(
-        &self,
-        x: &WorkAssignment,
-        interval: usize,
-        exclude: usize,
-    ) -> Vec<f64> {
-        let mut works = self.interval_works(x, interval);
-        if exclude < works.len() {
-            works[exclude] = 0.0;
-        }
-        works
     }
 
     /// The Chen et al. solver for interval `k`.
@@ -150,7 +139,7 @@ impl ProgramContext {
 
     /// The fraction of job `j` assigned to intervals it covers.
     pub fn assigned_fraction(&self, x: &WorkAssignment, job: usize) -> f64 {
-        num::stable_sum(self.covered[job].iter().map(|&k| x.get(job, k)))
+        num::stable_sum(self.covered(job).map(|k| x.get(job, k)))
     }
 
     /// Realises a single atomic interval of the assignment: runs Chen et
@@ -201,8 +190,8 @@ mod tests {
         let c = ctx();
         // Boundaries 0,1,2,3 -> intervals [0,1),[1,2),[2,3).
         assert_eq!(c.partition().len(), 3);
-        assert_eq!(c.covered(0), &[0, 1]);
-        assert_eq!(c.covered(1), &[1, 2]);
+        assert_eq!(c.covered(0), 0..2);
+        assert_eq!(c.covered(1), 1..3);
     }
 
     #[test]
@@ -231,15 +220,5 @@ mod tests {
         let report = pss_types::validate_schedule(c.instance(), &schedule).unwrap();
         assert_eq!(report.rejected.len(), 0);
         assert!((report.energy - c.total_energy(&x)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn interval_works_excluding_masks_one_job() {
-        let c = ctx();
-        let mut x = WorkAssignment::zeros(2, 3);
-        x.set(0, 1, 0.5);
-        x.set(1, 1, 1.0);
-        assert_eq!(c.interval_works(&x, 1), vec![1.0, 1.0]);
-        assert_eq!(c.interval_works_excluding(&x, 1, 1), vec![1.0, 0.0]);
     }
 }

@@ -27,6 +27,23 @@
 //! `≤ s`.  `z*` is continuous and nondecreasing in `s` (when `s·l` crosses
 //! some `u_i`, `q` gains one machine and `B` gains `u_i`, which cancel), so
 //! an outer bisection on `s` finds the common level.
+//!
+//! ## Empty intervals in closed form
+//!
+//! An interval that holds no other work has `p = 0`, hence `q = m` and
+//! `B = 0`, and the formula collapses to `z*(s) = min(s·l, m·s·l) = s·l` for
+//! every `m ≥ 1`: the job alone runs at speed `s` for the whole interval.
+//! Capacity is therefore *linear* in `s` on every empty interval, and the
+//! empty intervals of a fill contribute exactly `s·L_empty` together, where
+//! `L_empty` is the sum of their lengths.  [`FillProfile`] stores the
+//! loaded intervals one by one and the empty ones only as that sum, so an
+//! evaluation of the level costs `O(loaded · log p)` however many empty
+//! intervals the window covers.  Aggregating is exact, not an
+//! approximation: it changes only the grouping of the floating-point sum
+//! (the fill is deterministic but not bit-identical to a per-interval sum).
+//! An empty interval's fraction, `s·l_k / w_j`, is expanded only when the
+//! caller asks for the per-interval fractions ([`FillLevel::fractions`]) —
+//! PD does so for accepted jobs only.
 
 use pss_intervals::WorkAssignment;
 use pss_types::num::{self, Tolerance};
@@ -70,81 +87,273 @@ pub struct WaterfillResult {
     pub saturated: bool,
 }
 
-impl WaterfillResult {
-    fn empty() -> Self {
-        Self {
-            added: Vec::new(),
-            total: 0.0,
-            level_speed: 0.0,
-            level_marginal: 0.0,
-            saturated: false,
-        }
-    }
-}
-
-/// Per-interval data needed to evaluate the capacity function.
-struct IntervalCapacity {
+/// One loaded interval of a [`FillProfile`]: its works occupy
+/// `works[start..end]` (sorted in decreasing order) and `cumulative[start..end]`
+/// (their running sums).
+#[derive(Debug, Clone, Copy)]
+struct LoadedInterval {
     interval: usize,
     length: f64,
-    /// Other jobs' works, sorted in decreasing order.
-    sorted_works: Vec<f64>,
-    /// Prefix sums of `sorted_works`.
-    prefix: Vec<f64>,
+    start: usize,
+    end: usize,
 }
 
-impl IntervalCapacity {
-    fn new(interval: usize, length: f64, mut works: Vec<f64>) -> Self {
-        works.retain(|u| *u > 0.0);
-        works.sort_by(|a, b| b.total_cmp(a));
-        let mut prefix = Vec::with_capacity(works.len() + 1);
-        prefix.push(0.0);
-        let mut acc = 0.0;
-        for u in &works {
-            acc += u;
-            prefix.push(acc);
-        }
-        Self {
-            interval,
-            length,
-            sorted_works: works,
-            prefix,
-        }
+/// The covered intervals of one water-filling run: every *loaded* interval
+/// (one holding other jobs' work) with its sorted works, and the empty ones
+/// only as their total length (see the module doc for why that is exact).
+///
+/// Intervals are [`push`](Self::push)ed in increasing index order; the
+/// works of all loaded intervals share two flat buffers, so an empty
+/// interval costs no allocation and a loaded one none beyond amortised
+/// buffer growth.
+#[derive(Debug, Clone, Default)]
+pub struct FillProfile {
+    covered: usize,
+    /// `Σ l_k` over every covered interval, in push order.
+    total_length: f64,
+    /// `Σ l_k` over the empty covered intervals.
+    empty_length: f64,
+    loaded: Vec<LoadedInterval>,
+    works: Vec<f64>,
+    cumulative: Vec<f64>,
+}
+
+impl FillProfile {
+    /// An empty profile (no covered interval yet).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Maximum work job `j` can place here with its speed staying `≤ speed`.
-    fn capacity(&self, speed: f64, machines: usize) -> f64 {
+    /// Empties the profile, keeping its buffers for the next fill.
+    pub fn clear(&mut self) {
+        self.covered = 0;
+        self.total_length = 0.0;
+        self.empty_length = 0.0;
+        self.loaded.clear();
+        self.works.clear();
+        self.cumulative.clear();
+    }
+
+    /// Adds the next covered interval: its index (echoed back by
+    /// [`FillLevel::fractions`]), its length `l_k` and the works the
+    /// *other* jobs place in it (order irrelevant; non-positive entries are
+    /// ignored, and an interval without a positive one counts as empty).
+    pub fn push(
+        &mut self,
+        interval: usize,
+        length: f64,
+        other_works: impl IntoIterator<Item = f64>,
+    ) {
+        self.covered += 1;
+        self.total_length += length;
+        let start = self.works.len();
+        self.works
+            .extend(other_works.into_iter().filter(|u| *u > 0.0));
+        if self.works.len() == start {
+            self.empty_length += length;
+            return;
+        }
+        let works = &mut self.works[start..];
+        works.sort_by(|a, b| b.total_cmp(a));
+        let mut acc = 0.0;
+        for u in works.iter() {
+            acc += u;
+            self.cumulative.push(acc);
+        }
+        self.loaded.push(LoadedInterval {
+            interval,
+            length,
+            start,
+            end: self.works.len(),
+        });
+    }
+
+    /// Adds `intervals` consecutive empty covered intervals (no other
+    /// work) of total length `length` — what [`push`](Self::push) does for
+    /// each of them, in one step.
+    pub fn push_empty(&mut self, intervals: usize, length: f64) {
+        self.covered += intervals;
+        self.total_length += length;
+        self.empty_length += length;
+    }
+
+    /// Maximum work the job can place in loaded interval `iv` with its speed
+    /// staying `≤ speed` (`z*(s)` of the module doc).
+    fn loaded_capacity(&self, iv: &LoadedInterval, speed: f64, machines: usize) -> f64 {
         if speed <= 0.0 {
             return 0.0;
         }
-        let threshold = speed * self.length;
+        let threshold = speed * iv.length;
+        let works = &self.works[iv.start..iv.end];
+        let cumulative = &self.cumulative[iv.start..iv.end];
         // Number of other jobs whose work exceeds the threshold; works are
         // sorted in decreasing order, so this is a partition point.
-        let above = self.sorted_works.partition_point(|u| *u > threshold);
+        let above = works.partition_point(|u| *u > threshold);
         if above >= machines {
             return 0.0;
         }
         let q = (machines - above) as f64;
-        let b_small = self.prefix[self.sorted_works.len()] - self.prefix[above];
+        let above_sum = if above == 0 {
+            0.0
+        } else {
+            cumulative[above - 1]
+        };
+        let b_small = cumulative[works.len() - 1] - above_sum;
         let machine_cap = (q * threshold - b_small).max(0.0);
         threshold.min(machine_cap)
     }
+
+    /// Total work the job can place over all covered intervals at `speed`.
+    fn capacity(&self, speed: f64, machines: usize) -> f64 {
+        if speed <= 0.0 {
+            return 0.0;
+        }
+        num::stable_sum(
+            std::iter::once(speed * self.empty_length).chain(
+                self.loaded
+                    .iter()
+                    .map(|iv| self.loaded_capacity(iv, speed, machines)),
+            ),
+        )
+    }
+
+    /// The first upper bracket of the level search (doubled until the job
+    /// fits): the largest speed the other work would need in any loaded
+    /// interval plus the job's even spread over all covered intervals.
+    fn initial_speed_guess(&self, w_j: f64, max_fraction: f64) -> f64 {
+        let max_existing = self
+            .loaded
+            .iter()
+            .map(|iv| self.works[iv.start] / iv.length)
+            .fold(0.0_f64, f64::max);
+        let spread_speed = if self.total_length > 0.0 {
+            w_j * max_fraction / self.total_length
+        } else {
+            1.0
+        };
+        (max_existing + spread_speed).max(1e-9)
+    }
+
+    /// Runs the level search for a job of workload `w_j` over this profile:
+    /// the one water-filling core behind [`waterfill_job`] and PD's
+    /// incremental arrival step.
+    pub fn level(
+        &self,
+        power: pss_power::AlphaPower,
+        machines: usize,
+        w_j: f64,
+        opts: &WaterfillOptions,
+    ) -> FillLevel {
+        if self.covered == 0 || w_j <= 0.0 || opts.max_fraction <= 0.0 {
+            return FillLevel {
+                level_speed: 0.0,
+                level_marginal: 0.0,
+                total: 0.0,
+                saturated: false,
+                machines,
+                w_j,
+                scale: None,
+            };
+        }
+        let m = machines;
+        let total_fraction_at = |speed: f64| -> f64 { self.capacity(speed, m) / w_j };
+
+        // The speed corresponding to the marginal cap (if any).
+        let speed_cap = opts.max_marginal.map(|mm| power.dual_speed(mm, w_j));
+
+        let finish = |level_speed: f64, mut total: f64, saturated: bool| -> FillLevel {
+            let mut scale = None;
+            if saturated && total > 0.0 {
+                // The bisection leaves a relative error of ~tol; rescale so
+                // that a fully placed job has an assigned fraction of
+                // exactly max_fraction.
+                scale = Some(opts.max_fraction / total);
+                total = opts.max_fraction;
+            }
+            FillLevel {
+                level_speed,
+                level_marginal: power.dual_value(level_speed, w_j),
+                total,
+                saturated: saturated && total >= opts.max_fraction * (1.0 - 1e-9),
+                machines,
+                w_j,
+                scale,
+            }
+        };
+        // If even at the cap the job cannot be fully placed, the fill stops
+        // at the cap (PD's rejection case).
+        if let Some(cap) = speed_cap {
+            let at_cap = total_fraction_at(cap);
+            if at_cap < opts.max_fraction * (1.0 - 1e-12) {
+                return finish(cap, at_cap, false);
+            }
+        }
+
+        // Find an upper bracket for the level: double until the job fits.
+        let mut hi = self.initial_speed_guess(w_j, opts.max_fraction);
+        let mut guard = 0;
+        while total_fraction_at(hi) < opts.max_fraction && guard < 200 {
+            hi *= 2.0;
+            guard += 1;
+        }
+        if let Some(cap) = speed_cap {
+            hi = hi.min(cap);
+        }
+
+        // Bisection on the speed level.
+        let level = num::bisect_nondecreasing(0.0, hi, opts.max_fraction, opts.tol, |s| {
+            total_fraction_at(s)
+        });
+        finish(level, total_fraction_at(level), true)
+    }
 }
 
-/// One candidate interval of a water-filling run, described independently of
-/// a [`ProgramContext`]: the interval's index (echoed back in the result's
-/// `added` pairs), its length, and the works the *other* jobs already place
-/// in it.  The incremental online context builds these directly from its
-/// per-interval load lists instead of materialising a dense assignment.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaterfillCandidate {
-    /// Caller-chosen interval index reported back in
-    /// [`WaterfillResult::added`].
-    pub interval: usize,
-    /// Length `l_k` of the interval.
-    pub length: f64,
-    /// Work every *other* job places in the interval (order irrelevant;
-    /// non-positive entries are ignored).
-    pub other_works: Vec<f64>,
+/// The outcome of [`FillProfile::level`]: the common level, the total
+/// fraction placed and the decision, without the per-interval fractions
+/// (expand those with [`fractions`](Self::fractions) when they are needed).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FillLevel {
+    /// The common speed level `s*` reached by the fill.
+    pub level_speed: f64,
+    /// The corresponding marginal cost `α · w_j · (s*)^{α-1}`.
+    pub level_marginal: f64,
+    /// Total fraction placed (exactly `max_fraction` when saturated).
+    pub total: f64,
+    /// `true` if the job was fully placed (total reached `max_fraction`).
+    pub saturated: bool,
+    machines: usize,
+    w_j: f64,
+    /// The rescaling applied to every fraction of a saturated fill.
+    scale: Option<f64>,
+}
+
+impl FillLevel {
+    /// The per-interval fractions of the fill, `(interval, fraction)` with
+    /// strictly positive fractions.  `covered` must yield `(index, length)`
+    /// of every interval pushed into `profile`, in push order; an empty
+    /// interval's fraction is `s*·l_k / w_j`, a loaded one's is its capacity
+    /// at the level.
+    pub fn fractions<'a>(
+        &'a self,
+        profile: &'a FillProfile,
+        covered: impl IntoIterator<Item = (usize, f64)> + 'a,
+    ) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let mut loaded = profile.loaded.iter().peekable();
+        covered
+            .into_iter()
+            .map(move |(k, length)| {
+                let capacity = match loaded.next_if(|iv| iv.interval == k) {
+                    Some(iv) => profile.loaded_capacity(iv, self.level_speed, self.machines),
+                    None => self.level_speed * length,
+                };
+                let mut f = capacity / self.w_j;
+                if let Some(scale) = self.scale {
+                    f *= scale;
+                }
+                (k, f)
+            })
+            .filter(|(_, f)| *f > 0.0)
+    }
 }
 
 /// Runs the water-filling allocation for `job` on top of the assignment `x`
@@ -157,122 +366,27 @@ pub fn waterfill_job(
     job: usize,
     opts: &WaterfillOptions,
 ) -> WaterfillResult {
-    let candidates: Vec<WaterfillCandidate> = ctx
-        .covered(job)
-        .iter()
-        .map(|&k| WaterfillCandidate {
-            interval: k,
-            length: ctx.partition().length(k),
-            other_works: ctx.interval_works_excluding(x, k, job),
-        })
-        .collect();
-    waterfill_candidates(
-        ctx.power(),
-        ctx.machines(),
-        ctx.workloads()[job],
-        candidates,
-        opts,
-    )
-}
-
-/// Runs the water-filling allocation for a job of workload `w_j` over the
-/// given candidate intervals — the context-free core of [`waterfill_job`],
-/// used by the persistent online-PD planning context (which keeps sparse
-/// per-interval loads instead of a dense assignment).
-pub fn waterfill_candidates(
-    power: pss_power::AlphaPower,
-    machines: usize,
-    w_j: f64,
-    candidates: Vec<WaterfillCandidate>,
-    opts: &WaterfillOptions,
-) -> WaterfillResult {
-    if candidates.is_empty() || w_j <= 0.0 || opts.max_fraction <= 0.0 {
-        return WaterfillResult::empty();
+    let workloads = ctx.workloads();
+    let covered = ctx.covered(job);
+    let mut profile = FillProfile::new();
+    for k in covered.clone() {
+        profile.push(
+            k,
+            ctx.partition().length(k),
+            (0..ctx.n_jobs())
+                .filter(|&i| i != job)
+                .map(|i| x.get(i, k) * workloads[i]),
+        );
     }
-    let m = machines;
-
-    let caps: Vec<IntervalCapacity> = candidates
-        .into_iter()
-        .map(|c| IntervalCapacity::new(c.interval, c.length, c.other_works))
-        .collect();
-
-    let total_fraction_at =
-        |speed: f64| -> f64 { num::stable_sum(caps.iter().map(|c| c.capacity(speed, m))) / w_j };
-
-    // The speed corresponding to the marginal cap (if any).
-    let speed_cap = opts.max_marginal.map(|mm| power.dual_speed(mm, w_j));
-
-    // If even at the cap the job cannot be fully placed, the fill stops at
-    // the cap (PD's rejection case).
-    if let Some(cap) = speed_cap {
-        if total_fraction_at(cap) < opts.max_fraction * (1.0 - 1e-12) {
-            return build_result(&caps, m, w_j, cap, power, false, opts.max_fraction);
-        }
-    }
-
-    // Find an upper bracket for the level: double until the job fits.
-    let mut hi = initial_speed_guess(&caps, w_j, opts.max_fraction);
-    let mut guard = 0;
-    while total_fraction_at(hi) < opts.max_fraction && guard < 200 {
-        hi *= 2.0;
-        guard += 1;
-    }
-    if let Some(cap) = speed_cap {
-        hi = hi.min(cap);
-    }
-
-    // Bisection on the speed level.
-    let level = num::bisect_nondecreasing(0.0, hi, opts.max_fraction, opts.tol, |s| {
-        total_fraction_at(s)
-    });
-
-    build_result(&caps, m, w_j, level, power, true, opts.max_fraction)
-}
-
-fn initial_speed_guess(caps: &[IntervalCapacity], w_j: f64, max_fraction: f64) -> f64 {
-    let max_existing = caps
-        .iter()
-        .flat_map(|c| c.sorted_works.first().map(|u| u / c.length))
-        .fold(0.0_f64, f64::max);
-    let total_length: f64 = caps.iter().map(|c| c.length).sum();
-    let spread_speed = if total_length > 0.0 {
-        w_j * max_fraction / total_length
-    } else {
-        1.0
-    };
-    (max_existing + spread_speed).max(1e-9)
-}
-
-fn build_result(
-    caps: &[IntervalCapacity],
-    machines: usize,
-    w_j: f64,
-    level_speed: f64,
-    power: pss_power::AlphaPower,
-    saturated: bool,
-    max_fraction: f64,
-) -> WaterfillResult {
-    let mut added: Vec<(usize, f64)> = caps
-        .iter()
-        .map(|c| (c.interval, c.capacity(level_speed, machines) / w_j))
-        .filter(|(_, f)| *f > 0.0)
-        .collect();
-    let mut total = num::stable_sum(added.iter().map(|(_, f)| *f));
-    if saturated && total > 0.0 {
-        // The bisection leaves a relative error of ~tol; rescale so that a
-        // fully placed job has an assigned fraction of exactly max_fraction.
-        let scale = max_fraction / total;
-        for (_, f) in &mut added {
-            *f *= scale;
-        }
-        total = max_fraction;
-    }
+    let fill = profile.level(ctx.power(), ctx.machines(), workloads[job], opts);
     WaterfillResult {
-        added,
-        total,
-        level_speed,
-        level_marginal: power.dual_value(level_speed, w_j),
-        saturated: saturated && total >= max_fraction * (1.0 - 1e-9),
+        added: fill
+            .fractions(&profile, covered.map(|k| (k, ctx.partition().length(k))))
+            .collect(),
+        total: fill.total,
+        level_speed: fill.level_speed,
+        level_marginal: fill.level_marginal,
+        saturated: fill.saturated,
     }
 }
 
@@ -404,6 +518,21 @@ mod tests {
     }
 
     #[test]
+    fn fill_ignores_the_jobs_own_row() {
+        // Job 1's stale entry in [1,2) must not count as other work there.
+        let inst =
+            Instance::from_tuples(1, 2.0, vec![(0.0, 1.0, 3.0, 100.0), (0.0, 2.0, 1.0, 100.0)])
+                .unwrap();
+        let ctx = ProgramContext::new(&inst);
+        let mut x = WorkAssignment::zeros(2, ctx.partition().len());
+        x.set(0, 0, 1.0);
+        let cleared = waterfill_job(&ctx, &x, 1, &WaterfillOptions::default());
+        x.set(1, 1, 1.0);
+        let stale = waterfill_job(&ctx, &x, 1, &WaterfillOptions::default());
+        assert_eq!(stale, cleared);
+    }
+
+    #[test]
     fn zero_fraction_request_is_empty() {
         let ctx = single_job_ctx(1, 2.0, vec![(0.0, 1.0, 1.0, 1.0)]);
         let x = WorkAssignment::zeros(1, 1);
@@ -418,7 +547,8 @@ mod tests {
 
     #[test]
     fn capacity_function_is_monotone_and_continuous() {
-        let cap = IntervalCapacity::new(0, 1.0, vec![2.0, 1.0, 0.5]);
+        let mut cap = FillProfile::new();
+        cap.push(0, 1.0, [2.0, 1.0, 0.5]);
         let m = 3;
         let mut prev = 0.0;
         let mut s = 0.0;
@@ -431,5 +561,210 @@ mod tests {
             prev = c;
             s += 0.01;
         }
+    }
+
+    #[test]
+    fn empty_interval_capacity_is_speed_times_length_for_every_m() {
+        for m in [1, 2, 3, 4, 8, 64] {
+            for (length, speed) in [(1.0, 0.5), (0.25, 3.0), (7.5, 1e-3), (1e-6, 40.0)] {
+                // Pushed with no works, with only non-positive works, and
+                // evaluated by the reference formula with `p = 0`.
+                let mut none = FillProfile::new();
+                none.push(0, length, []);
+                let mut zeros = FillProfile::new();
+                zeros.push(0, length, [0.0, -1.0]);
+                let reference = IntervalCapacity::new(0, length, Vec::new());
+                assert!(none.loaded.is_empty() && zeros.loaded.is_empty());
+                assert_eq!(none.capacity(speed, m), speed * length, "m = {m}");
+                assert_eq!(zeros.capacity(speed, m), speed * length, "m = {m}");
+                assert_eq!(reference.capacity(speed, m), speed * length, "m = {m}");
+            }
+        }
+    }
+
+    /// The per-interval evaluation the aggregated [`FillProfile`] replaced:
+    /// every covered interval, empty or not, gets its own sorted works and
+    /// prefix sums, and the level sums the capacities one interval at a
+    /// time.  Kept as the reference of the differential test below.
+    struct IntervalCapacity {
+        interval: usize,
+        length: f64,
+        sorted_works: Vec<f64>,
+        prefix: Vec<f64>,
+    }
+
+    impl IntervalCapacity {
+        fn new(interval: usize, length: f64, mut works: Vec<f64>) -> Self {
+            works.retain(|u| *u > 0.0);
+            works.sort_by(|a, b| b.total_cmp(a));
+            let mut prefix = Vec::with_capacity(works.len() + 1);
+            prefix.push(0.0);
+            let mut acc = 0.0;
+            for u in &works {
+                acc += u;
+                prefix.push(acc);
+            }
+            Self {
+                interval,
+                length,
+                sorted_works: works,
+                prefix,
+            }
+        }
+
+        fn capacity(&self, speed: f64, machines: usize) -> f64 {
+            if speed <= 0.0 {
+                return 0.0;
+            }
+            let threshold = speed * self.length;
+            let above = self.sorted_works.partition_point(|u| *u > threshold);
+            if above >= machines {
+                return 0.0;
+            }
+            let q = (machines - above) as f64;
+            let b_small = self.prefix[self.sorted_works.len()] - self.prefix[above];
+            let machine_cap = (q * threshold - b_small).max(0.0);
+            threshold.min(machine_cap)
+        }
+    }
+
+    fn reference_fill(
+        power: pss_power::AlphaPower,
+        m: usize,
+        w_j: f64,
+        caps: &[IntervalCapacity],
+        opts: &WaterfillOptions,
+    ) -> WaterfillResult {
+        let total_fraction_at =
+            |speed: f64| num::stable_sum(caps.iter().map(|c| c.capacity(speed, m))) / w_j;
+        let build = |level_speed: f64, saturated: bool| {
+            let mut added: Vec<(usize, f64)> = caps
+                .iter()
+                .map(|c| (c.interval, c.capacity(level_speed, m) / w_j))
+                .filter(|(_, f)| *f > 0.0)
+                .collect();
+            let mut total = num::stable_sum(added.iter().map(|(_, f)| *f));
+            if saturated && total > 0.0 {
+                let scale = opts.max_fraction / total;
+                for (_, f) in &mut added {
+                    *f *= scale;
+                }
+                total = opts.max_fraction;
+            }
+            WaterfillResult {
+                added,
+                total,
+                level_speed,
+                level_marginal: power.dual_value(level_speed, w_j),
+                saturated: saturated && total >= opts.max_fraction * (1.0 - 1e-9),
+            }
+        };
+        let speed_cap = opts.max_marginal.map(|mm| power.dual_speed(mm, w_j));
+        if let Some(cap) = speed_cap {
+            if total_fraction_at(cap) < opts.max_fraction * (1.0 - 1e-12) {
+                return build(cap, false);
+            }
+        }
+        let max_existing = caps
+            .iter()
+            .flat_map(|c| c.sorted_works.first().map(|u| u / c.length))
+            .fold(0.0_f64, f64::max);
+        let total_length: f64 = caps.iter().map(|c| c.length).sum();
+        let mut hi = (max_existing + w_j * opts.max_fraction / total_length).max(1e-9);
+        let mut guard = 0;
+        while total_fraction_at(hi) < opts.max_fraction && guard < 200 {
+            hi *= 2.0;
+            guard += 1;
+        }
+        if let Some(cap) = speed_cap {
+            hi = hi.min(cap);
+        }
+        let level = num::bisect_nondecreasing(0.0, hi, opts.max_fraction, opts.tol, |s| {
+            total_fraction_at(s)
+        });
+        build(level, true)
+    }
+
+    #[test]
+    fn aggregated_core_matches_the_per_interval_reference() {
+        use pss_workloads::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x_F111);
+        let tol = Tolerance::default();
+        let (mut capped_rejections, mut capped_accepts) = (0, 0);
+        for case in 0..600 {
+            let m = [1, 2, 4][case % 3];
+            let alpha = [1.5, 2.0, 2.5, 3.0][rng.usize_range(0, 3)];
+            let power = pss_power::AlphaPower::new(alpha);
+            // Covered intervals: a random mix of empty and loaded ones,
+            // loaded with up to 2m other works (so some exceed the level).
+            let n = rng.usize_range(1, 40);
+            let empty_share = rng.next_f64();
+            let mut profile = FillProfile::new();
+            let mut caps = Vec::new();
+            let mut covered = Vec::new();
+            for i in 0..n {
+                let k = 3 * i + rng.usize_range(0, 2);
+                let length = rng.f64_range(0.01, 3.0);
+                let works: Vec<f64> = if rng.next_f64() < empty_share {
+                    Vec::new()
+                } else {
+                    (0..rng.usize_range(1, 2 * m))
+                        .map(|_| rng.f64_range(0.0, 4.0) * length)
+                        .collect()
+                };
+                profile.push(k, length, works.iter().copied());
+                caps.push(IntervalCapacity::new(k, length, works));
+                covered.push((k, length));
+            }
+            let w_j = rng.f64_range(0.05, 20.0);
+            let max_marginal = if case % 2 == 0 {
+                None
+            } else {
+                // A cap around the uncapped level, so both outcomes occur.
+                let free = reference_fill(power, m, w_j, &caps, &WaterfillOptions::default());
+                Some(free.level_marginal * rng.f64_range(0.3, 1.7))
+            };
+            let opts = WaterfillOptions {
+                max_marginal,
+                ..WaterfillOptions::default()
+            };
+            let expected = reference_fill(power, m, w_j, &caps, &opts);
+            let fill = profile.level(power, m, w_j, &opts);
+            let added: Vec<(usize, f64)> = fill.fractions(&profile, covered).collect();
+            if max_marginal.is_some() {
+                if fill.saturated {
+                    capped_accepts += 1;
+                } else {
+                    capped_rejections += 1;
+                }
+            }
+
+            let label = format!("case {case} (m = {m}, {n} intervals, cap {max_marginal:?})");
+            assert_eq!(fill.saturated, expected.saturated, "{label}");
+            assert!(
+                tol.converged(
+                    fill.level_speed.min(expected.level_speed),
+                    fill.level_speed.max(expected.level_speed)
+                ),
+                "{label}: level {} vs {}",
+                fill.level_speed,
+                expected.level_speed
+            );
+            assert!(
+                (fill.total - expected.total).abs() <= 1e-12 * expected.total,
+                "{label}: total {} vs {}",
+                fill.total,
+                expected.total
+            );
+            let indices = |a: &[(usize, f64)]| a.iter().map(|(k, _)| *k).collect::<Vec<_>>();
+            assert_eq!(indices(&added), indices(&expected.added), "{label}");
+            for (&(k, f), &(_, g)) in added.iter().zip(&expected.added) {
+                assert!(
+                    (f - g).abs() <= 1e-12 * g,
+                    "{label}: interval {k} fraction {f} vs {g}"
+                );
+            }
+        }
+        assert!(capped_accepts > 20 && capped_rejections > 20);
     }
 }

@@ -115,7 +115,7 @@ fn solver_beats_uniform_spreading() {
         let mut uniform = WorkAssignment::zeros(inst.len(), ctx.partition().len());
         for job in &inst.jobs {
             let j = job.id.index();
-            for &k in ctx.covered(j) {
+            for k in ctx.covered(j) {
                 uniform.set(j, k, ctx.partition().length(k) / job.window());
             }
         }

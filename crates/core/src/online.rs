@@ -20,11 +20,22 @@
 //! planning context — the current partition plus, per atomic interval, the
 //! list of `(job, fraction)` loads assigned there — and updates it in place
 //! on every arrival (partition refinement splits load entries
-//! proportionally; an accepted fill appends its entries).  The water-filling
-//! step reads its per-interval capacities straight from these lists, so an
-//! arrival costs time proportional to the *locally* affected intervals, not
-//! to the whole history: no job list is cloned, no `Instance` is rebuilt,
-//! and no dense `n × N` assignment is materialised.
+//! proportionally; an accepted fill appends its entries).  No job list is
+//! cloned, no `Instance` is rebuilt and no dense `n × N` assignment is
+//! materialised.  An arrival costs:
+//!
+//! * one binary search per window endpoint to refine the partition, plus
+//!   the shift of the boundary and `loads` tails behind each inserted
+//!   boundary (the intervals after it: the live window, not the history);
+//! * one scan of the covered index range (two more binary searches find
+//!   it), which reads each interval's load list once and folds every empty
+//!   interval into one total length — no allocation per empty interval;
+//! * the water-level search, whose every evaluation costs
+//!   `O(log p)` per *loaded* covered interval (`p` its other jobs) and
+//!   `O(1)` for all empty ones together (`pss_convex::FillProfile`);
+//! * only for an accepted job, one pass over the covered range that
+//!   appends its fractions to the load lists.  A rejected job leaves the
+//!   lists untouched and expands no per-interval fraction.
 //!
 //! The pre-existing rebuild-from-scratch arrival step is retained behind
 //! [`OnlinePd::with_rebuild_engine`] as an independently coded cross-check
@@ -33,9 +44,7 @@
 //! baseline of the `warm_replan` benchmark.
 
 use pss_chen::{placement::place_interval, ChenInterval};
-use pss_convex::{
-    waterfill_candidates, waterfill_job, ProgramContext, WaterfillCandidate, WaterfillOptions,
-};
+use pss_convex::{waterfill_job, FillLevel, FillProfile, ProgramContext, WaterfillOptions};
 use pss_intervals::{BoundaryInsert, IntervalPartition, WorkAssignment};
 use pss_power::AlphaPower;
 use pss_types::num::Tolerance;
@@ -57,6 +66,8 @@ struct PlanState {
     partition: IntervalPartition,
     /// `loads[k]` lists the jobs with positive fraction in interval `k`.
     loads: Vec<Vec<(usize, f64)>>,
+    /// The fill's scratch buffers, reused across arrivals (not state).
+    profile: FillProfile,
 }
 
 impl PlanState {
@@ -64,6 +75,7 @@ impl PlanState {
         Self {
             partition: IntervalPartition::from_boundaries(std::iter::empty()),
             loads: Vec::new(),
+            profile: FillProfile::new(),
         }
     }
 
@@ -109,6 +121,57 @@ impl PlanState {
             }
         }
         debug_assert_eq!(self.loads.len(), self.partition.len());
+    }
+
+    /// PD's arrival step for job `jobs[dense]` on this context: refines the
+    /// partition with `points` (its clamped window endpoints), scans the
+    /// covered range once into a [`FillProfile`] (loaded intervals with
+    /// their works, empty ones as one total length), runs the capped
+    /// water-fill and, if the job is accepted, appends its fractions to the
+    /// load lists.
+    fn fill(
+        &mut self,
+        jobs: &[Job],
+        dense: usize,
+        points: [f64; 2],
+        power: AlphaPower,
+        machines: usize,
+        opts: &WaterfillOptions,
+    ) -> FillLevel {
+        self.refine(&points);
+        let covered = self.partition.covered_range(&jobs[dense]);
+        // One scan: a loaded interval goes in with its works; a run of
+        // empty ones `[run, k)` goes in as one length, read off the
+        // boundaries.
+        let profile = &mut self.profile;
+        profile.clear();
+        let bounds = self.partition.boundaries();
+        let mut run = covered.start;
+        for k in covered.clone() {
+            let entries = &self.loads[k];
+            if entries.is_empty() {
+                continue;
+            }
+            if k > run {
+                profile.push_empty(k - run, bounds[k] - bounds[run]);
+            }
+            profile.push(
+                k,
+                bounds[k + 1] - bounds[k],
+                entries.iter().map(|&(j, f)| f * jobs[j].work),
+            );
+            run = k + 1;
+        }
+        if covered.end > run {
+            profile.push_empty(covered.end - run, bounds[covered.end] - bounds[run]);
+        }
+        let fill = profile.level(power, machines, jobs[dense].work, opts);
+        if fill.saturated {
+            for (k, f) in fill.fractions(profile, covered.map(|k| (k, bounds[k + 1] - bounds[k]))) {
+                self.loads[k].push((dense, f));
+            }
+        }
+        fill
     }
 }
 
@@ -244,12 +307,13 @@ impl OnlinePd {
         self.original_ids.push(job.id);
 
         // 2. Refine the partition with the new boundaries (splitting the
-        //    existing loads proportionally) and run the greedy primal-dual
-        //    step for the new job on the refined partition.  The boundary
-        //    points are clamped to the committed-frontier floor: the arrival
-        //    tolerance lets a release lie up to 1e-9 before the previous
-        //    arrival, which could otherwise split an already-committed
-        //    interval and double-realise the sliver.
+        //    existing loads proportionally), run the greedy primal-dual step
+        //    for the new job on the refined partition and keep its fill if
+        //    it is accepted (Listing 1).  The boundary points are clamped to
+        //    the committed-frontier floor: the arrival tolerance lets a
+        //    release lie up to 1e-9 before the previous arrival, which could
+        //    otherwise split an already-committed interval and double-realise
+        //    the sliver.
         let floor = if self.committed_prefix > 0 {
             self.partition().boundaries()[self.committed_prefix]
         } else {
@@ -264,23 +328,17 @@ impl OnlinePd {
         // The rebuild engine's dense context is built once per arrival and
         // reused for the commit step below, like the pre-warm-start code.
         let mut rebuild_ctx: Option<ProgramContext> = None;
-        let fill = match &mut self.engine {
+        let (accepted, level_marginal) = match &mut self.engine {
             ArrivalEngine::Incremental(state) => {
-                state.refine(&boundary_points);
-                let candidates: Vec<WaterfillCandidate> = state
-                    .partition
-                    .covered_intervals(&self.jobs[dense])
-                    .into_iter()
-                    .map(|k| WaterfillCandidate {
-                        interval: k,
-                        length: state.partition.length(k),
-                        other_works: state.loads[k]
-                            .iter()
-                            .map(|&(j, f)| f * self.jobs[j].work)
-                            .collect(),
-                    })
-                    .collect();
-                waterfill_candidates(self.power, self.machines, job.work, candidates, &opts)
+                let fill = state.fill(
+                    &self.jobs,
+                    dense,
+                    boundary_points,
+                    self.power,
+                    self.machines,
+                    &opts,
+                );
+                (fill.saturated, fill.level_marginal)
             }
             ArrivalEngine::Rebuild {
                 partition,
@@ -292,33 +350,23 @@ impl OnlinePd {
                 assignment.ensure_job(dense);
                 let ctx = rebuild_context(self.machines, self.alpha, &self.jobs, partition)?;
                 let fill = waterfill_job(&ctx, assignment, dense, &opts);
-                rebuild_ctx = Some(ctx);
-                fill
-            }
-        };
-
-        // 3. Commit or reset the fill, following Listing 1.
-        let accepted = fill.saturated;
-        if accepted {
-            match &mut self.engine {
-                ArrivalEngine::Incremental(state) => {
-                    for &(k, f) in &fill.added {
-                        state.loads[k].push((dense, f));
-                    }
-                }
-                ArrivalEngine::Rebuild { assignment, .. } => {
+                if fill.saturated {
                     for &(k, f) in &fill.added {
                         assignment.set(dense, k, f);
                     }
                 }
+                rebuild_ctx = Some(ctx);
+                (fill.saturated, fill.level_marginal)
             }
-            self.lambda.push(self.delta * fill.level_marginal);
+        };
+        self.lambda.push(if accepted {
+            self.delta * level_marginal
         } else {
-            self.lambda.push(job.value);
-        }
+            job.value
+        });
         self.accepted.push(accepted);
 
-        // 4. Commit every interval that has fully elapsed: its loads can
+        // 3. Commit every interval that has fully elapsed: its loads can
         //    never change again (later jobs are released at or after `now`
         //    and refinement only adds boundaries `>= now`), so its
         //    realisation is final.
@@ -498,7 +546,6 @@ impl OnlinePd {
         // either order produce the same fills).
         let mut accepted = Vec::with_capacity(jobs.len());
         for job in jobs {
-            state.refine(&[job.release.max(floor), job.deadline.max(floor)]);
             let dense = self.jobs.len();
             self.jobs.push(Job::new(
                 dense,
@@ -513,24 +560,15 @@ impl OnlinePd {
                 max_marginal: Some(job.value / self.delta),
                 tol: self.tol,
             };
-            let candidates: Vec<WaterfillCandidate> = state
-                .partition
-                .covered_intervals(&self.jobs[dense])
-                .into_iter()
-                .map(|k| WaterfillCandidate {
-                    interval: k,
-                    length: state.partition.length(k),
-                    other_works: state.loads[k]
-                        .iter()
-                        .map(|&(j, f)| f * self.jobs[j].work)
-                        .collect(),
-                })
-                .collect();
-            let fill = waterfill_candidates(self.power, self.machines, job.work, candidates, &opts);
+            let fill = state.fill(
+                &self.jobs,
+                dense,
+                [job.release.max(floor), job.deadline.max(floor)],
+                self.power,
+                self.machines,
+                &opts,
+            );
             if fill.saturated {
-                for &(k, f) in &fill.added {
-                    state.loads[k].push((dense, f));
-                }
                 self.lambda.push(self.delta * fill.level_marginal);
             } else {
                 self.lambda.push(job.value);
@@ -583,7 +621,11 @@ impl SnapshotPart for PlanState {
                 partition.len()
             )));
         }
-        Ok(Self { partition, loads })
+        Ok(Self {
+            partition,
+            loads,
+            profile: FillProfile::new(),
+        })
     }
 }
 

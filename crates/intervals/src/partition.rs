@@ -1,5 +1,7 @@
 //! Atomic interval partitions and their online refinement.
 
+use std::ops::Range;
+
 use pss_types::snapshot::{BlobReader, BlobWriter, SnapshotError, SnapshotPart};
 use pss_types::{num, Job};
 
@@ -102,17 +104,17 @@ impl IntervalPartition {
         job.covers(iv.start, iv.end)
     }
 
-    /// Indices of all intervals contained in the job's availability window.
+    /// The indices of all intervals contained in the job's availability
+    /// window (the `k` with [`job_covers`](Self::job_covers)).
     ///
-    /// Runs in `O(log N + |result|)`: because every partition in the
-    /// workspace contains the window endpoints of the jobs it was built
-    /// from, the covered set is a contiguous index range, found here by
-    /// binary search (the incremental online context calls this once per
-    /// arrival).
-    pub fn covered_intervals(&self, job: &Job) -> Vec<usize> {
+    /// The intervals inside a window are consecutive, so the covered set is
+    /// a contiguous index range; it is found by two binary searches in
+    /// `O(log N)` (the incremental online context calls this once per
+    /// arrival).  A window inside a single interval covers nothing.
+    pub fn covered_range(&self, job: &Job) -> Range<usize> {
         let n = self.len();
         if n == 0 {
-            return Vec::new();
+            return 0..0;
         }
         let starts = &self.boundaries[..n];
         let ends = &self.boundaries[1..];
@@ -126,15 +128,7 @@ impl IntervalPartition {
         while hi < n && num::approx_le(ends[hi], job.deadline) {
             hi += 1;
         }
-        let covered: Vec<usize> = (lo..hi).filter(|&k| self.job_covers(job, k)).collect();
-        debug_assert_eq!(
-            covered,
-            (0..n)
-                .filter(|&k| self.job_covers(job, k))
-                .collect::<Vec<_>>(),
-            "binary-searched coverage disagrees with the linear scan"
-        );
-        covered
+        lo..hi.max(lo)
     }
 
     /// Index of the interval containing time `t`, if any.
@@ -390,8 +384,8 @@ mod tests {
         let js = jobs();
         let p = IntervalPartition::from_jobs(&js);
         // Job 0 covers all three intervals, job 1 only the middle one.
-        assert_eq!(p.covered_intervals(&js[0]), vec![0, 1, 2]);
-        assert_eq!(p.covered_intervals(&js[1]), vec![1]);
+        assert_eq!(p.covered_range(&js[0]), 0..3);
+        assert_eq!(p.covered_range(&js[1]), 1..2);
         assert!(p.job_covers(&js[0], 0));
         assert!(!p.job_covers(&js[1], 0));
     }
@@ -478,11 +472,58 @@ mod tests {
         // Window strictly inside one interval: covers nothing.
         let p = IntervalPartition::from_boundaries([0.0, 4.0, 8.0]);
         let inside = Job::new(0, 1.0, 3.0, 1.0, 1.0);
-        assert!(p.covered_intervals(&inside).is_empty());
+        assert!(p.covered_range(&inside).is_empty());
         // Window starting before and ending inside: covers only the first.
         let p = IntervalPartition::from_boundaries([0.0, 1.0, 2.0, 3.0]);
         let job = Job::new(0, 0.0, 2.5, 1.0, 1.0);
-        assert_eq!(p.covered_intervals(&job), vec![0, 1]);
+        assert_eq!(p.covered_range(&job), 0..2);
+    }
+
+    #[test]
+    fn covered_range_matches_the_linear_scan() {
+        use pss_workloads::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x_C0DE);
+        let mut touched = 0;
+        for case in 0..2000 {
+            // Boundaries at a random scale (the tolerance is relative above
+            // 1), partly on a coarse grid so that windows hit them exactly.
+            let scale = [1e-3, 1.0, 1e3, 1e7][case % 4];
+            let points: Vec<f64> = (0..rng.usize_range(0, 12))
+                .map(|_| scale * (rng.usize_range(0, 40) as f64 + 0.5 * rng.next_f64()))
+                .collect();
+            let p = IntervalPartition::from_boundaries(points);
+            let b = p.boundaries();
+            let mut end_point = |rng: &mut SmallRng| -> f64 {
+                if b.is_empty() || rng.next_f64() < 0.3 {
+                    return scale * rng.f64_range(-2.0, 45.0);
+                }
+                // A boundary, exactly or nudged inside / outside the
+                // approx-equal tolerance (`1e-9` of `max(1, |t|)`).
+                let t = b[rng.usize_range(0, b.len() - 1)];
+                let eps = 1e-9 * t.abs().max(1.0);
+                let nudge: f64 = [0.0, 0.5, -0.5, 2.0, -2.0, 1e-3][rng.usize_range(0, 5)];
+                if nudge != 0.0 && nudge.abs() < 1.0 {
+                    touched += 1;
+                }
+                t + nudge * eps
+            };
+            let (r, d) = (end_point(&mut rng), end_point(&mut rng));
+            let job = Job::new(0, r.min(d), r.max(d), 1.0, 1.0);
+            let scanned: Vec<usize> = (0..p.len()).filter(|&k| p.job_covers(&job, k)).collect();
+            let range = p.covered_range(&job);
+            assert_eq!(
+                range.clone().collect::<Vec<_>>(),
+                scanned,
+                "case {case}: window [{}, {}) over {b:?}",
+                job.release,
+                job.deadline
+            );
+            assert!(range.start <= range.end);
+        }
+        assert!(
+            touched > 200,
+            "too few windows near the tolerance: {touched}"
+        );
     }
 
     #[test]

@@ -91,6 +91,25 @@ fn assert_flat(label: &str, early: usize, late: usize) {
     );
 }
 
+/// Allocations of one rejected PD arrival whose window covers `k` empty
+/// atomic intervals: `k` worthless jobs released at 0 with deadlines
+/// `1, …, k` are rejected and leave the intervals `[i-1, i)` empty, then the
+/// measured job (window `[0, k)`, also worthless) covers all of them.
+fn pd_rejection_allocations(k: usize) -> usize {
+    let alpha = 2.5;
+    let mut pd = OnlinePd::new(2, alpha);
+    for i in 0..k {
+        let job = Job::new(i, 0.0, (i + 1) as f64, 1.0, 1e-9);
+        assert!(!pd.on_arrival(&job, 0.0).expect("arrival").accepted);
+    }
+    let probe = Job::new(k, 0.0, k as f64, 1.0, 1e-9);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let decision = pd.on_arrival(&probe, 0.0).expect("arrival");
+    let spent = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(!decision.accepted);
+    spent
+}
+
 #[test]
 fn incremental_arrival_paths_do_not_allocate_with_history_size() {
     let n = 2000;
@@ -124,6 +143,24 @@ fn incremental_arrival_paths_do_not_allocate_with_history_size() {
     let mut run = bkp.start_for(&instance).expect("BKP run");
     let (early, late, _) = windows(&mut run, &instance, windows_spec, |_| 0);
     assert_flat("BKP indexed grid", early, late);
+
+    // PD through its persistent sparse planning context (m = 2, so the
+    // fill's per-machine capacity formula is exercised).
+    let mut pd = OnlinePd::new(2, instance.alpha);
+    let (early, late, _) = windows(&mut pd, &instance, windows_spec, |_| 0);
+    assert_flat("PD incremental water-fills", early, late);
+
+    // A rejected PD arrival folds the empty intervals of its window into
+    // one total length: its allocation count must not grow with how many
+    // empty intervals the window covers (a per-interval candidate would
+    // allocate ~K times).
+    let at_k8 = pd_rejection_allocations(8);
+    let at_k2000 = pd_rejection_allocations(2000);
+    assert!(
+        at_k2000 <= at_k8 + 8,
+        "PD rejection allocations grew with the covered empty intervals: \
+         {at_k8} over K = 8 vs {at_k2000} over K = 2000"
+    );
 
     // Burst ingestion: with the replan shared by the whole burst, the
     // allocation count *per arrival* must not grow with the burst size b —
